@@ -145,8 +145,10 @@ impl ScenarioSchedule {
                 // instead of before it.
                 if !crashed.is_empty() && rng.gen_bool(p_midload) {
                     let node = crashed.pop().expect("non-empty");
-                    // The gather phase reads two blobs per node, so
-                    // any offset below 2*nodes lands inside it.
+                    // A load first probes the epoch fence on every
+                    // node, then gathers one sealed chunk per node, so
+                    // any offset below 2*nodes lands before the gather
+                    // ends.
                     let after_ops = rng.gen_range(1..(2 * nodes) as u64);
                     events.push(ChaosEvent::CrashDuringLoad { node, after_ops });
                 }

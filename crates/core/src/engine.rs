@@ -13,9 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use ecc_checkpoint::{
-    checksum_frame, decompose, verify_checksum, Decomposition, Packer, Packet, StateDict,
-};
+use ecc_checkpoint::{decompose, Decomposition, Packer, Packet, StateDict};
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthConfig, HealthRegistry};
 use ecc_erasure::{CodeParams, CodingPool, ErasureCode};
 use ecc_obs::{ObsHub, ObsHubConfig, ObsServer, SloSpec};
@@ -25,28 +23,16 @@ use ecc_trace::{Tracer, TrackId, DRIVER_PID};
 
 use crate::config::SaveMode;
 use crate::keys::{
-    chunk_crc_key, chunk_key, committed_epoch, encode_epoch, epoch_key, header_crc_key, header_key,
-    manifest_key, remote_chunk_crc_key, remote_chunk_key, remote_header_crc_key, remote_header_key,
-    remote_manifest_key,
+    chunk_key, committed_epoch, decode_manifest, encode_epoch, encode_manifest, epoch_key,
+    header_key, manifest_key, remote_chunk_key, remote_header_key, remote_manifest_key,
 };
 use crate::pipeline::{self, DeltaColumn, DeltaJob, PipelineJob, PipelineOutcome, PipelineStats};
-use crate::store::{DrainHandle, RetentionPolicy, VersionIndex, WorkerDirtySet};
+use crate::sealed::{self, get_sealed, get_sealed_remote, put_sealed, Sealed};
+use crate::store::{self, DrainHandle, RetentionPolicy, VersionIndex, WorkerDirtySet};
 use crate::{
     select_data_parity_nodes, DeltaReport, EcCheckConfig, EcCheckError, LoadReport, Placement,
     RecoveryWorkflow, ReductionPlan, SaveReport,
 };
-
-/// Outcome of one checksum-verified chunk fetch during recovery.
-enum ChunkFetch {
-    /// The blob is present and matches its stored checksum.
-    Intact(Vec<u8>),
-    /// Node dead, or the blob (or its checksum frame) is absent even
-    /// after the bounded retry budget.
-    Missing,
-    /// The blob is present but fails its checksum: silent corruption,
-    /// reclassified as an erasure.
-    Corrupt,
-}
 
 /// Which public entry point a delta patch serves — selects its
 /// telemetry and trace namespace (`ecc.update.*` vs `ecc.delta.*`).
@@ -467,16 +453,8 @@ impl EcCheck {
         cluster: &impl DataPlane,
         version: u64,
     ) -> Result<(), EcCheckError> {
-        let key = manifest_key(version);
-        let blob = (0..cluster.nodes())
-            .filter(|&node| cluster.alive(node))
-            .find_map(|node| cluster.get_local(node, &key))
-            .or_else(|| cluster.get_remote(&remote_manifest_key(version)))
-            .ok_or(EcCheckError::NoCheckpoint)?;
-        let bytes: [u8; 8] = blob.as_slice().try_into().map_err(|_| EcCheckError::Config {
-            detail: format!("manifest for v{version} is {} bytes, expected 8", blob.len()),
-        })?;
-        self.packets_per_worker = u64::from_le_bytes(bytes) as usize;
+        self.packets_per_worker =
+            read_manifest(cluster, version)?.ok_or(EcCheckError::NoCheckpoint)?;
         self.version = version;
         self.saves = version;
         // Rebuild the retention index from what the plane actually
@@ -569,7 +547,9 @@ impl EcCheck {
         let chunk_len = group_size * max_packets * ps;
         let mut data_chunks: Vec<Vec<u8>> = Vec::with_capacity(self.config.k());
         for j in 0..self.config.k() {
-            let mut chunk = Vec::with_capacity(chunk_len);
+            // Headroom for the trailer, so sealing the chunk at placement
+            // appends in place instead of reallocating it.
+            let mut chunk = Vec::with_capacity(chunk_len + sealed::TRAILER);
             for r in 0..group_size {
                 let w = j * group_size + r;
                 for packet in &worker_packets[w] {
@@ -581,47 +561,39 @@ impl EcCheck {
         drop(span);
         drop(phase);
 
-        // Step 4 happens only every `remote_flush_every` saves; decided
-        // up front so the pipelined executor knows whether to keep owned
-        // chunk copies around for the flush.
-        let will_flush = self.config.remote_flush_every() > 0
-            && (self.saves + 1).is_multiple_of(self.config.remote_flush_every());
-
         // Steps 3c + 3d: encode parity and place every chunk. Two
         // executors, one contract — byte-identical cluster state (the
         // differential suite in `tests/pipeline_differential.rs` holds
         // them to it).
-        let (encoded_bytes, pipeline_stats, flush_chunks) = match self.config.save_mode() {
-            SaveMode::Sequential => {
-                self.save_sequential(cluster, version, data_chunks, will_flush, &trace)?
-            }
-            SaveMode::Pipelined => {
-                self.save_pipelined(cluster, version, data_chunks, will_flush, &trace)?
-            }
+        let (encoded_bytes, pipeline_stats) = match self.config.save_mode() {
+            SaveMode::Sequential => self.save_sequential(cluster, version, data_chunks, &trace)?,
+            SaveMode::Pipelined => self.save_pipelined(cluster, version, data_chunks, &trace)?,
         };
 
         // Headers and the packet-count manifest go everywhere (tiny,
         // ungated), closing out the placement identically in both modes.
-        let header_frames: Vec<Vec<u8>> =
-            headers.iter().map(|h| checksum_frame(h.as_slice())).collect();
+        // Each header is sealed once and the blob copied per node.
+        let sealed_headers: Vec<Vec<u8>> = headers.iter().map(|h| sealed::seal_copy(h)).collect();
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "save.headers", ""));
         for node in 0..self.spec.nodes() {
-            for (w, header) in headers.iter().enumerate() {
+            for (w, header) in sealed_headers.iter().enumerate() {
                 cluster.put_local(node, &header_key(version, w), header.clone())?;
-                cluster.put_local(node, &header_crc_key(version, w), header_frames[w].clone())?;
             }
-            cluster.put_local(node, &manifest_key(version), manifest(max_packets))?;
+            cluster.put_local(node, &manifest_key(version), encode_manifest(max_packets))?;
             cluster.put_local(node, &epoch_key(version), encode_epoch(self.placement_epoch))?;
         }
         drop(span);
 
-        // Step 4: low-frequency remote flush for catastrophic failures.
+        // Step 4: every `remote_flush_every` saves, a synchronous drain
+        // of the version just placed to remote storage (tier 1) for
+        // catastrophic failures — the same copy the drain worker makes.
         self.saves += 1;
-        let remote_flushed = will_flush;
+        let remote_flushed = self.config.remote_flush_every() > 0
+            && self.saves.is_multiple_of(self.config.remote_flush_every());
         if remote_flushed {
-            let (flush_data, flush_parity) =
-                flush_chunks.expect("flush chunks kept when a flush is due");
-            self.flush_remote_chunks(cluster, version, &flush_data, &flush_parity, &headers);
+            let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "save.flush", ""));
+            store::drain_version(cluster, version, world, &self.recorder)?;
+            drop(span);
         }
 
         // Seal the new version in the retention index, hand it to the
@@ -679,12 +651,10 @@ impl EcCheck {
         for old in self.index.collectible(&policy, &pinned) {
             for node in 0..self.spec.nodes() {
                 cluster.delete_local(node, &chunk_key(old));
-                cluster.delete_local(node, &chunk_crc_key(old));
                 cluster.delete_local(node, &manifest_key(old));
                 cluster.delete_local(node, &epoch_key(old));
                 for w in 0..world {
                     cluster.delete_local(node, &header_key(old, w));
-                    cluster.delete_local(node, &header_crc_key(old, w));
                 }
             }
             self.index.remove(old);
@@ -696,16 +666,13 @@ impl EcCheck {
     /// Steps 3c + 3d, sequential executor: one monolithic encode, then
     /// every chunk stored in index order. The oracle the pipelined path
     /// is differentially tested against.
-    #[allow(clippy::type_complexity)]
     fn save_sequential(
         &mut self,
         cluster: &mut impl DataPlane,
         version: u64,
         data_chunks: Vec<Vec<u8>>,
-        will_flush: bool,
         trace: &Option<TraceHandles>,
-    ) -> Result<(u64, Option<PipelineStats>, Option<(Vec<Vec<u8>>, Vec<Vec<u8>>)>), EcCheckError>
-    {
+    ) -> Result<(u64, Option<PipelineStats>), EcCheckError> {
         // Step 3c: encode parity chunks (thread-pooled XOR schedules).
         let phase = self.recorder.timer("ecc.save.encode_ns");
         let span = trace.as_ref().map(|t| {
@@ -726,41 +693,36 @@ impl EcCheck {
         drop(phase);
 
         // Step 3d: place chunks (XOR reduction + P2P in the real system;
-        // here the byte movement outcome).
+        // here the byte movement outcome). Each chunk moves into the
+        // plane as one sealed blob.
         let phase = self.recorder.timer("ecc.save.place_ns");
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "save.place", ""));
-        for (j, chunk) in data_chunks.iter().enumerate() {
+        for (j, chunk) in data_chunks.into_iter().enumerate() {
             let node = self.placement.data_nodes()[j];
-            cluster.put_local(node, &chunk_key(version), chunk.clone())?;
-            cluster.put_local(node, &chunk_crc_key(version), checksum_frame(chunk))?;
+            put_sealed(cluster, node, &chunk_key(version), chunk)?;
             trace_store(trace, node, &format!("data chunk {j}"));
         }
-        for (i, chunk) in parity_chunks.iter().enumerate() {
+        for (i, chunk) in parity_chunks.into_iter().enumerate() {
             let node = self.placement.parity_nodes()[i];
-            cluster.put_local(node, &chunk_key(version), chunk.clone())?;
-            cluster.put_local(node, &chunk_crc_key(version), checksum_frame(chunk))?;
+            put_sealed(cluster, node, &chunk_key(version), chunk)?;
             trace_store(trace, node, &format!("parity chunk {i}"));
         }
         drop(span);
         drop(phase);
-        let flush_chunks = will_flush.then_some((data_chunks, parity_chunks));
-        Ok((encoded_bytes, None, flush_chunks))
+        Ok((encoded_bytes, None))
     }
 
     /// Steps 3c + 3d, pipelined executor (paper §IV-C): stripes stream
     /// through encode → XOR-reduce → transfer on the coding threads, with
     /// transfers gated into profiled network idle slots when a profile is
     /// attached. See [`crate::pipeline`]'s module docs for the dataflow.
-    #[allow(clippy::type_complexity)]
     fn save_pipelined(
         &mut self,
         cluster: &mut impl DataPlane,
         version: u64,
         data_chunks: Vec<Vec<u8>>,
-        will_flush: bool,
         trace: &Option<TraceHandles>,
-    ) -> Result<(u64, Option<PipelineStats>, Option<(Vec<Vec<u8>>, Vec<Vec<u8>>)>), EcCheckError>
-    {
+    ) -> Result<(u64, Option<PipelineStats>), EcCheckError> {
         let gate = if self.config.use_idle_slots() {
             // A fresh gate per save: the profile describes one training
             // iteration, and determinism wants every save to schedule
@@ -789,7 +751,6 @@ impl EcCheck {
             PipelineJob {
                 version,
                 data_chunks,
-                keep_chunks: will_flush,
                 code: &self.code,
                 placement: &self.placement,
                 reduction: &self.reduction,
@@ -818,8 +779,8 @@ impl EcCheck {
             t.tracer.begin_at(t.engine, "save.place", "pipelined", outcome.place_begin_ns);
             t.tracer.end_at(t.engine, outcome.place_end_ns);
         }
-        let PipelineOutcome { encoded_bytes, stats, kept, .. } = result?;
-        Ok((encoded_bytes, Some(stats), kept))
+        let PipelineOutcome { encoded_bytes, stats, .. } = result?;
+        Ok((encoded_bytes, Some(stats)))
     }
 
     /// `eccheck.load`: reconstructs every worker's `state_dict` from the
@@ -869,25 +830,9 @@ impl EcCheck {
         let ppw = if version == self.version {
             self.packets_per_worker
         } else {
-            self.manifest_ppw(cluster, version)?
+            read_manifest(cluster, version)?.ok_or(EcCheckError::VersionGone { version })?
         };
         self.load_version_inner(cluster, version, ppw)
-    }
-
-    /// Reads back the packet-layout manifest of a retained (but not
-    /// current) `version` from any alive node, falling back to the
-    /// tier-1 remote copy.
-    fn manifest_ppw(&self, cluster: &impl DataPlane, version: u64) -> Result<usize, EcCheckError> {
-        let key = manifest_key(version);
-        let blob = (0..cluster.nodes())
-            .filter(|&node| cluster.alive(node))
-            .find_map(|node| cluster.get_local(node, &key))
-            .or_else(|| cluster.get_remote(&remote_manifest_key(version)))
-            .ok_or(EcCheckError::VersionGone { version })?;
-        let bytes: [u8; 8] = blob.as_slice().try_into().map_err(|_| EcCheckError::Config {
-            detail: format!("manifest for v{version} is {} bytes, expected 8", blob.len()),
-        })?;
-        Ok(u64::from_le_bytes(bytes) as usize)
     }
 
     /// Shared body of [`EcCheck::load`] and [`EcCheck::load_version`]:
@@ -919,14 +864,14 @@ impl EcCheck {
         let mut corrupt_nodes = Vec::new();
         for node in 0..n {
             match self.fetch_chunk(cluster, node, version, &trace) {
-                ChunkFetch::Intact(blob) => {
+                Sealed::Intact(blob) => {
                     let chunk_id = self.chunk_id_of_node(node);
                     trace_fetch(&trace, node, &format!("chunk {chunk_id}"));
                     shards[chunk_id] = Some(blob);
                     self.heartbeat(node);
                 }
-                ChunkFetch::Missing => failed_nodes.push(node),
-                ChunkFetch::Corrupt => {
+                Sealed::Missing => failed_nodes.push(node),
+                Sealed::Corrupt => {
                     self.recorder.counter("ecc.load.corrupt_chunks").incr();
                     self.recorder
                         .event("ecc.load.corrupt", format!("node {node} chunk failed checksum"));
@@ -987,47 +932,9 @@ impl EcCheck {
         // while another survivor still holds it.
         let headers = self.gather_headers(cluster, version, survivors, &trace)?;
 
-        // Restore fault tolerance: every node stores its chunk again,
-        // and every node regains the headers. A node that dies *during*
-        // this phase is skipped, not fatal: the decoded state is already
-        // in hand, and the skipped node is re-seeded by the next
-        // save/load.
-        let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.restore", ""));
-        let header_frames: Vec<Vec<u8>> =
-            headers.iter().map(|h| checksum_frame(h.as_slice())).collect();
-        let mut restore_skipped = Vec::new();
-        'restore: for node in 0..n {
-            let chunk_id = self.chunk_id_of_node(node);
-            let mut puts: Vec<(String, Vec<u8>)> = Vec::with_capacity(2 * headers.len() + 3);
-            puts.push((chunk_key(version), all_chunks[chunk_id].clone()));
-            puts.push((chunk_crc_key(version), checksum_frame(&all_chunks[chunk_id])));
-            for (w, header) in headers.iter().enumerate() {
-                puts.push((header_key(version, w), header.clone()));
-                puts.push((header_crc_key(version, w), header_frames[w].clone()));
-            }
-            puts.push((manifest_key(version), manifest(ppw)));
-            puts.push((epoch_key(version), encode_epoch(self.placement_epoch)));
-            for (key, bytes) in puts {
-                match cluster.put_local(node, &key, bytes) {
-                    Ok(()) => {}
-                    Err(ClusterError::NodeDown { .. }) => {
-                        self.recorder.counter("ecc.load.restore_skipped").incr();
-                        self.recorder.event(
-                            "ecc.load.restore_skip",
-                            format!("node {node} died mid-restore"),
-                        );
-                        if let Some(t) = &trace {
-                            t.tracer.instant(t.engine, "load.restore_skip", format!("node {node}"));
-                        }
-                        restore_skipped.push(node);
-                        continue 'restore;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            trace_store(&trace, node, &format!("chunk {chunk_id}"));
-        }
-        drop(span);
+        // Restore fault tolerance: every node regains its chunk and the
+        // replicated metadata.
+        let restore_skipped = self.restore(cluster, version, &all_chunks, &headers, ppw, &trace)?;
 
         // Reassemble every worker's state_dict from the data chunks.
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.reassemble", ""));
@@ -1071,7 +978,7 @@ impl EcCheck {
         std::thread::sleep(std::time::Duration::from_nanos(delay));
     }
 
-    /// Fetches and checksum-verifies one node's chunk, retrying a
+    /// Fetches and verifies one node's sealed chunk, retrying a
     /// transiently missing blob up to `fetch_retries` times before
     /// declaring the node's chunk lost.
     fn fetch_chunk(
@@ -1080,19 +987,15 @@ impl EcCheck {
         node: usize,
         version: u64,
         trace: &Option<TraceHandles>,
-    ) -> ChunkFetch {
+    ) -> Sealed {
         let retries = self.config.fetch_retries();
         for attempt in 0..=retries {
             if !cluster.alive(node) {
-                return ChunkFetch::Missing;
+                return Sealed::Missing;
             }
-            let blob = cluster.get_local(node, &chunk_key(version));
-            let crc = cluster.get_local(node, &chunk_crc_key(version));
-            if let (Some(blob), Some(crc)) = (blob, crc) {
-                if verify_checksum(&blob, &crc) {
-                    return ChunkFetch::Intact(blob);
-                }
-                return ChunkFetch::Corrupt;
+            match get_sealed(cluster, node, &chunk_key(version)) {
+                Sealed::Missing => {}
+                fetched => return fetched,
             }
             if attempt < retries {
                 self.recorder.counter("ecc.load.fetch_retries").incr();
@@ -1106,7 +1009,7 @@ impl EcCheck {
                 self.backoff_wait(attempt);
             }
         }
-        ChunkFetch::Missing
+        Sealed::Missing
     }
 
     /// Gathers every worker's header, verifying checksums and falling
@@ -1136,19 +1039,20 @@ impl EcCheck {
                     if !cluster.alive(node) {
                         continue;
                     }
-                    let blob = cluster.get_local(node, &header_key(version, w));
-                    let crc = cluster.get_local(node, &header_crc_key(version, w));
-                    let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-                    if !verify_checksum(&blob, &crc) {
-                        if attempt == 0 {
-                            self.recorder.counter("ecc.load.corrupt_headers").incr();
-                            self.recorder.event(
-                                "ecc.load.corrupt",
-                                format!("node {node} header {w} failed checksum"),
-                            );
+                    let blob = match get_sealed(cluster, node, &header_key(version, w)) {
+                        Sealed::Intact(blob) => blob,
+                        Sealed::Missing => continue,
+                        Sealed::Corrupt => {
+                            if attempt == 0 {
+                                self.recorder.counter("ecc.load.corrupt_headers").incr();
+                                self.recorder.event(
+                                    "ecc.load.corrupt",
+                                    format!("node {node} header {w} failed checksum"),
+                                );
+                            }
+                            continue;
                         }
-                        continue;
-                    }
+                    };
                     if primary != Some(node) {
                         self.recorder.counter("ecc.load.header_fallbacks").incr();
                         if let Some(t) = trace {
@@ -1169,13 +1073,11 @@ impl EcCheck {
             }
             if found.is_none() {
                 // Last resort: the low-frequency remote copy.
-                let blob = cluster.get_remote(&remote_header_key(version, w));
-                let crc = cluster.get_remote(&remote_header_crc_key(version, w));
-                if let (Some(blob), Some(crc)) = (blob, crc) {
-                    if verify_checksum(&blob, &crc) {
-                        self.recorder.counter("ecc.load.header_remote").incr();
-                        found = Some(blob);
-                    }
+                if let Sealed::Intact(blob) =
+                    get_sealed_remote(cluster, &remote_header_key(version, w))
+                {
+                    self.recorder.counter("ecc.load.header_remote").incr();
+                    found = Some(blob);
                 }
             }
             match found {
@@ -1198,7 +1100,7 @@ impl EcCheck {
     }
 
     /// Reads a chunk that is about to be patched in place, verifying
-    /// its checksum first: patching corrupt bytes and re-framing them
+    /// its checksum first: patching corrupt bytes and re-sealing them
     /// would launder the corruption into a "valid" blob.
     fn get_verified_for_patch(
         &self,
@@ -1206,16 +1108,16 @@ impl EcCheck {
         node: usize,
         version: u64,
     ) -> Result<Vec<u8>, EcCheckError> {
-        let blob =
-            cluster.get_local(node, &chunk_key(version)).ok_or(EcCheckError::NoCheckpoint)?;
-        let crc =
-            cluster.get_local(node, &chunk_crc_key(version)).ok_or(EcCheckError::NoCheckpoint)?;
-        if !verify_checksum(&blob, &crc) {
-            self.recorder.counter("ecc.update.corrupt_chunks").incr();
-            self.recorder.event("ecc.update.corrupt", format!("node {node} chunk failed checksum"));
-            return Err(EcCheckError::CorruptChunk { node });
+        match get_sealed(cluster, node, &chunk_key(version)) {
+            Sealed::Intact(chunk) => Ok(chunk),
+            Sealed::Missing => Err(EcCheckError::NoCheckpoint),
+            Sealed::Corrupt => {
+                self.recorder.counter("ecc.update.corrupt_chunks").incr();
+                self.recorder
+                    .event("ecc.update.corrupt", format!("node {node} chunk failed checksum"));
+                Err(EcCheckError::CorruptChunk { node })
+            }
         }
-        Ok(blob)
     }
 
     /// Incrementally updates one worker's shard in the *current*
@@ -1455,19 +1357,16 @@ impl EcCheck {
                 }
                 // Canonical store order, shared with the pipelined
                 // executor's finish step: data columns ascending, then
-                // parity — each chunk before its checksum frame.
-                for (j, chunk) in &cols {
-                    let node = self.placement.data_nodes()[*j];
-                    let frame = checksum_frame(chunk);
-                    cluster.put_local(node, &chunk_key(version), chunk.clone())?;
-                    cluster.put_local(node, &chunk_crc_key(version), frame)?;
+                // parity. The chunks came out of `get_sealed`, so each
+                // still has room for its trailer.
+                for (j, chunk) in cols {
+                    let node = self.placement.data_nodes()[j];
+                    put_sealed(cluster, node, &chunk_key(version), chunk)?;
                     trace_store(&trace, node, &format!("data chunk {j}"));
                 }
-                for (i, parity) in parities.iter().enumerate() {
+                for (i, parity) in parities.into_iter().enumerate() {
                     let node = self.placement.parity_nodes()[i];
-                    let frame = checksum_frame(parity);
-                    cluster.put_local(node, &chunk_key(version), parity.clone())?;
-                    cluster.put_local(node, &chunk_crc_key(version), frame)?;
+                    put_sealed(cluster, node, &chunk_key(version), parity)?;
                     trace_store(&trace, node, &format!("parity chunk {i}"));
                 }
                 (encoded, None)
@@ -1510,10 +1409,9 @@ impl EcCheck {
         // ascending worker order.
         for regions in by_col.values() {
             for dr in regions {
-                let frame = checksum_frame(&dr.header);
+                let header = sealed::seal_copy(&dr.header);
                 for node in 0..self.spec.nodes() {
-                    cluster.put_local(node, &header_key(version, dr.worker), dr.header.clone())?;
-                    cluster.put_local(node, &header_crc_key(version, dr.worker), frame.clone())?;
+                    cluster.put_local(node, &header_key(version, dr.worker), header.clone())?;
                 }
             }
         }
@@ -1532,89 +1430,34 @@ impl EcCheck {
     }
 
     /// Flushes the current checkpoint to remote storage immediately
-    /// (normally driven by `remote_flush_every`).
+    /// (normally driven by `remote_flush_every`) through
+    /// [`store::drain_version`], the one tier-0 → tier-1 copy.
     ///
     /// # Errors
     ///
-    /// Returns [`EcCheckError::NoCheckpoint`] before the first save.
+    /// Returns [`EcCheckError::NoCheckpoint`] before the first save, and
+    /// [`EcCheckError::VersionGone`] when no alive node still holds the
+    /// current version's manifest.
     pub fn flush_remote(&self, cluster: &mut impl DataPlane) -> Result<(), EcCheckError> {
         if self.version == 0 {
             return Err(EcCheckError::NoCheckpoint);
         }
         let version = self.version;
-        let n = self.spec.nodes();
         let flush_timer = self.recorder.timer("ecc.flush.ns");
         let root_span = self
             .trace
             .as_ref()
             .map(|t| t.tracer.span(t.engine, "ecc.flush", format!("version={version}")));
         self.recorder.counter("ecc.flush.calls").incr();
-        for node in 0..n {
-            let blob = cluster.get_local(node, &chunk_key(version));
-            let crc = cluster.get_local(node, &chunk_crc_key(version));
-            let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-            if !verify_checksum(&blob, &crc) {
-                // Never propagate a corrupt chunk into the remote copy
-                // of last resort.
-                self.recorder.counter("ecc.flush.skipped_corrupt").incr();
-                self.recorder
-                    .event("ecc.flush.corrupt", format!("node {node} chunk failed checksum"));
-                continue;
-            }
-            cluster.put_remote(&remote_chunk_key(version, node), blob);
-            cluster.put_remote(&remote_chunk_crc_key(version, node), crc);
-        }
-        // Each header falls back across all survivors, like recovery.
-        for w in 0..self.spec.world_size() {
-            for node in 0..n {
-                if !cluster.alive(node) {
-                    continue;
-                }
-                let h = cluster.get_local(node, &header_key(version, w));
-                let crc = cluster.get_local(node, &header_crc_key(version, w));
-                let (Some(h), Some(crc)) = (h, crc) else { continue };
-                if !verify_checksum(&h, &crc) {
-                    continue;
-                }
-                cluster.put_remote(&remote_header_key(version, w), h);
-                cluster.put_remote(&remote_header_crc_key(version, w), crc);
-                break;
-            }
-        }
-        cluster.put_remote(&remote_manifest_key(version), manifest(self.packets_per_worker));
+        store::drain_version(cluster, version, self.spec.world_size(), &self.recorder)?;
         flush_timer.stop();
         drop(root_span);
         Ok(())
     }
 
-    fn flush_remote_chunks(
-        &self,
-        cluster: &mut impl DataPlane,
-        version: u64,
-        data_chunks: &[Vec<u8>],
-        parity_chunks: &[Vec<u8>],
-        headers: &[Vec<u8>],
-    ) {
-        for (j, chunk) in data_chunks.iter().enumerate() {
-            let node = self.placement.data_nodes()[j];
-            cluster.put_remote(&remote_chunk_key(version, node), chunk.clone());
-            cluster.put_remote(&remote_chunk_crc_key(version, node), checksum_frame(chunk));
-        }
-        for (i, chunk) in parity_chunks.iter().enumerate() {
-            let node = self.placement.parity_nodes()[i];
-            cluster.put_remote(&remote_chunk_key(version, node), chunk.clone());
-            cluster.put_remote(&remote_chunk_crc_key(version, node), checksum_frame(chunk));
-        }
-        for (w, h) in headers.iter().enumerate() {
-            cluster.put_remote(&remote_header_key(version, w), h.clone());
-            cluster.put_remote(&remote_header_crc_key(version, w), checksum_frame(h));
-        }
-        cluster.put_remote(&remote_manifest_key(version), manifest(self.packets_per_worker));
-    }
-
     /// Catastrophic-failure path: restore everything from the remote
-    /// copy written by step 4, verifying remote blobs the same way the
-    /// in-memory path does.
+    /// copy written by step 4 (or a drain), verifying remote blobs the
+    /// same way the in-memory path does.
     ///
     /// `local_shards` is the (insufficient) set of intact chunks the
     /// in-memory gather produced, used to attribute exactly which
@@ -1632,18 +1475,17 @@ impl EcCheck {
         let (k, n) = (self.config.k(), self.spec.nodes());
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
         for node in 0..n {
-            let blob = cluster.get_remote(&remote_chunk_key(version, node));
-            let crc = cluster.get_remote(&remote_chunk_crc_key(version, node));
-            let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-            if !verify_checksum(&blob, &crc) {
-                self.recorder.counter("ecc.load.corrupt_chunks").incr();
-                self.recorder.event(
-                    "ecc.load.corrupt",
-                    format!("remote chunk of node {node} failed checksum"),
-                );
-                continue;
+            match get_sealed_remote(cluster, &remote_chunk_key(version, node)) {
+                Sealed::Intact(blob) => shards[self.chunk_id_of_node(node)] = Some(blob),
+                Sealed::Missing => {}
+                Sealed::Corrupt => {
+                    self.recorder.counter("ecc.load.corrupt_chunks").incr();
+                    self.recorder.event(
+                        "ecc.load.corrupt",
+                        format!("remote chunk of node {node} failed checksum"),
+                    );
+                }
             }
-            shards[self.chunk_id_of_node(node)] = Some(blob);
         }
         let survivors = shards.iter().filter(|s| s.is_some()).count();
         if survivors < k {
@@ -1673,13 +1515,9 @@ impl EcCheck {
         let mut headers: Vec<Vec<u8>> = Vec::with_capacity(world);
         let mut lost_workers = Vec::new();
         for w in 0..world {
-            let blob = cluster.get_remote(&remote_header_key(version, w));
-            let crc = cluster.get_remote(&remote_header_crc_key(version, w));
-            match (blob, crc) {
-                (Some(blob), Some(crc)) if verify_checksum(&blob, &crc) => {
-                    headers.push(blob);
-                }
-                _ => lost_workers.push(w),
+            match get_sealed_remote(cluster, &remote_header_key(version, w)) {
+                Sealed::Intact(blob) => headers.push(blob),
+                Sealed::Missing | Sealed::Corrupt => lost_workers.push(w),
             }
         }
         if !lost_workers.is_empty() {
@@ -1687,24 +1525,8 @@ impl EcCheck {
         }
         let shard_refs: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
         let all_chunks = self.code.reconstruct_all(&shard_refs)?;
-        let mut restore_skipped = Vec::new();
-        for node in 0..n {
-            if !cluster.alive(node) {
-                restore_skipped.push(node);
-                continue;
-            }
-            let chunk_id = self.chunk_id_of_node(node);
-            cluster.put_local(node, &chunk_key(version), all_chunks[chunk_id].clone())?;
-            cluster.put_local(
-                node,
-                &chunk_crc_key(version),
-                checksum_frame(&all_chunks[chunk_id]),
-            )?;
-            for (w, header) in headers.iter().enumerate() {
-                cluster.put_local(node, &header_key(version, w), header.clone())?;
-                cluster.put_local(node, &header_crc_key(version, w), checksum_frame(header))?;
-            }
-        }
+        let trace = self.trace.clone();
+        let restore_skipped = self.restore(cluster, version, &all_chunks, &headers, ppw, &trace)?;
         let dicts = self.reassemble_all(&all_chunks[..k], &headers, ppw)?;
         let restored_bytes: u64 = dicts.iter().map(|d| d.tensor_bytes() as u64).sum();
         self.recorder.counter("ecc.load.workflow.remote").incr();
@@ -1726,6 +1548,57 @@ impl EcCheck {
                 restored_bytes,
             },
         ))
+    }
+
+    /// Restores fault tolerance after a decode, for every recovery
+    /// workflow: each node stores its sealed chunk again and regains
+    /// the headers, the manifest and the epoch marker. A node that is
+    /// down or dies *during* this phase is skipped, not fatal: the
+    /// decoded state is already in hand, and the skipped node is
+    /// re-seeded by the next save/load. Returns the skipped nodes.
+    fn restore(
+        &self,
+        cluster: &mut impl DataPlane,
+        version: u64,
+        all_chunks: &[Vec<u8>],
+        headers: &[Vec<u8>],
+        ppw: usize,
+        trace: &Option<TraceHandles>,
+    ) -> Result<Vec<usize>, EcCheckError> {
+        let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.restore", ""));
+        let sealed_headers: Vec<Vec<u8>> = headers.iter().map(|h| sealed::seal_copy(h)).collect();
+        let mut skipped = Vec::new();
+        'restore: for node in 0..self.spec.nodes() {
+            let chunk_id = self.chunk_id_of_node(node);
+            let mut puts: Vec<(String, Vec<u8>)> = Vec::with_capacity(headers.len() + 3);
+            puts.push((chunk_key(version), sealed::seal_copy(&all_chunks[chunk_id])));
+            for (w, header) in sealed_headers.iter().enumerate() {
+                puts.push((header_key(version, w), header.clone()));
+            }
+            puts.push((manifest_key(version), encode_manifest(ppw)));
+            puts.push((epoch_key(version), encode_epoch(self.placement_epoch)));
+            for (key, bytes) in puts {
+                match cluster.put_local(node, &key, bytes) {
+                    Ok(()) => {}
+                    Err(ClusterError::NodeDown { .. }) => {
+                        self.recorder.counter("ecc.load.restore_skipped").incr();
+                        self.recorder.event(
+                            "ecc.load.restore_skip",
+                            format!("node {node} died mid-restore"),
+                        );
+                        if let Some(t) = trace {
+                            t.tracer.instant(t.engine, "load.restore_skip", format!("node {node}"));
+                        }
+                        skipped.push(node);
+                        continue 'restore;
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            trace_store(trace, node, &format!("chunk {chunk_id}"));
+        }
+        drop(span);
+        Ok(skipped)
     }
 
     /// Splits the data chunks back into per-worker packets and
@@ -1797,8 +1670,26 @@ fn trace_fetch(trace: &Option<TraceHandles>, node: usize, what: &str) {
     }
 }
 
-fn manifest(packets_per_worker: usize) -> Vec<u8> {
-    (packets_per_worker as u64).to_le_bytes().to_vec()
+/// Reads `version`'s packet-layout manifest (packets per worker) from
+/// any alive node, falling back to the tier-1 remote copy. `Ok(None)`
+/// when neither holds one.
+///
+/// # Errors
+///
+/// Returns [`EcCheckError::Config`] when the manifest bytes are
+/// malformed.
+fn read_manifest(cluster: &impl DataPlane, version: u64) -> Result<Option<usize>, EcCheckError> {
+    let key = manifest_key(version);
+    let Some(blob) = (0..cluster.nodes())
+        .filter(|&node| cluster.alive(node))
+        .find_map(|node| cluster.get_local(node, &key))
+        .or_else(|| cluster.get_remote(&remote_manifest_key(version)))
+    else {
+        return Ok(None);
+    };
+    decode_manifest(&blob).map(Some).ok_or_else(|| EcCheckError::Config {
+        detail: format!("manifest for v{version} is {} bytes, expected 8", blob.len()),
+    })
 }
 
 #[cfg(test)]
@@ -2118,8 +2009,8 @@ mod tests {
         ));
     }
 
-    /// Flips one byte of a node's stored chunk in place, leaving the
-    /// stored checksum frame untouched (simulating at-rest bit rot).
+    /// Flips one byte in the middle of a node's sealed chunk, leaving
+    /// its trailer untouched (simulating at-rest bit rot).
     fn corrupt_chunk(cluster: &mut Cluster, node: usize, version: u64) {
         let key = crate::keys::chunk_key(version);
         let mut blob = cluster.get_local(node, &key).unwrap().to_vec();
@@ -2565,15 +2456,10 @@ mod store_tests {
         version: u64,
         world: usize,
     ) -> BTreeMap<(usize, String), Option<Vec<u8>>> {
-        let mut keys = vec![
-            chunk_key(version),
-            chunk_crc_key(version),
-            manifest_key(version),
-            crate::keys::epoch_key(version),
-        ];
+        let mut keys =
+            vec![chunk_key(version), manifest_key(version), crate::keys::epoch_key(version)];
         for w in 0..world {
             keys.push(header_key(version, w));
-            keys.push(header_crc_key(version, w));
         }
         let mut out = BTreeMap::new();
         for node in 0..cluster.nodes() {

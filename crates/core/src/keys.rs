@@ -3,27 +3,22 @@
 //! Every blob the engine stores on the data plane lives under a
 //! versioned key built here. The helpers are public so fault-injection
 //! layers (e.g. `ecc-chaos`) and targeted tests can address a specific
-//! stored blob — a node's chunk, one worker's header, or the checksum
-//! frames guarding them — without duplicating format strings.
+//! stored blob — a node's chunk or one worker's header — without
+//! duplicating format strings. Chunks and headers are sealed blobs
+//! that carry their own checksum (see [`crate::sealed`]), so no key
+//! exists for a checksum alone. The tiny manifest and epoch codecs
+//! live here too.
 
-/// Key of the (single) erasure-code chunk a node holds for `version`.
+/// Key of the (single) sealed erasure-code chunk a node holds for
+/// `version`.
 pub fn chunk_key(version: u64) -> String {
     format!("ecc/v{version}/chunk")
 }
 
-/// Key of the checksum frame guarding [`chunk_key`].
-pub fn chunk_crc_key(version: u64) -> String {
-    format!("ecc/v{version}/chunk.crc")
-}
-
-/// Key of `worker`'s broadcast decomposition header for `version`.
+/// Key of `worker`'s sealed, broadcast decomposition header for
+/// `version`.
 pub fn header_key(version: u64, worker: usize) -> String {
     format!("ecc/v{version}/hdr/{worker}")
-}
-
-/// Key of the checksum frame guarding [`header_key`].
-pub fn header_crc_key(version: u64, worker: usize) -> String {
-    format!("ecc/v{version}/hdr/{worker}.crc")
 }
 
 /// Key of the packet-layout manifest for `version`.
@@ -31,26 +26,14 @@ pub fn manifest_key(version: u64) -> String {
     format!("ecc/v{version}/manifest")
 }
 
-/// Remote-storage key of `node`'s chunk for `version`.
+/// Remote-storage key of `node`'s sealed chunk for `version`.
 pub fn remote_chunk_key(version: u64, node: usize) -> String {
     format!("remote/ecc/v{version}/chunk/{node}")
 }
 
-/// Remote-storage key of the checksum frame guarding
-/// [`remote_chunk_key`].
-pub fn remote_chunk_crc_key(version: u64, node: usize) -> String {
-    format!("remote/ecc/v{version}/chunk/{node}.crc")
-}
-
-/// Remote-storage key of `worker`'s header for `version`.
+/// Remote-storage key of `worker`'s sealed header for `version`.
 pub fn remote_header_key(version: u64, worker: usize) -> String {
     format!("remote/ecc/v{version}/hdr/{worker}")
-}
-
-/// Remote-storage key of the checksum frame guarding
-/// [`remote_header_key`].
-pub fn remote_header_crc_key(version: u64, worker: usize) -> String {
-    format!("remote/ecc/v{version}/hdr/{worker}.crc")
 }
 
 /// Remote-storage key of the manifest for `version`.
@@ -85,6 +68,18 @@ pub fn decode_epoch(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(bytes.try_into().ok()?))
 }
 
+/// Serializes a version's packet layout (packets per worker) for
+/// storage under [`manifest_key`].
+pub fn encode_manifest(packets_per_worker: usize) -> Vec<u8> {
+    (packets_per_worker as u64).to_le_bytes().to_vec()
+}
+
+/// Parses a manifest blob written by [`encode_manifest`]. `None` for
+/// blobs of the wrong width.
+pub fn decode_manifest(bytes: &[u8]) -> Option<usize> {
+    Some(u64::from_le_bytes(bytes.try_into().ok()?) as usize)
+}
+
 /// Reads the committed placement epoch from the first alive node that
 /// holds the marker. `None` means no membership controller has ever
 /// committed a rebalance on this plane (implicit epoch 0).
@@ -96,15 +91,15 @@ pub fn committed_epoch(plane: &impl ecc_cluster::DataPlane) -> Option<u64> {
         .and_then(|blob| decode_epoch(&blob))
 }
 
-/// `true` when `key` addresses a chunk blob or its checksum frame —
-/// the blobs whose loss or corruption consumes one unit of the code's
-/// `m`-failure budget. Used by fault-injection accounting.
+/// `true` when `key` addresses a chunk blob — the blobs whose loss or
+/// corruption consumes one unit of the code's `m`-failure budget. Used
+/// by fault-injection and migration accounting.
 pub fn is_chunk_class(key: &str) -> bool {
     key.contains("/chunk")
 }
 
-/// `true` when `key` addresses a header blob or its checksum frame
-/// (replicated on every node, so a single loss is survivable).
+/// `true` when `key` addresses a header blob (replicated on every
+/// node, so a single loss is survivable).
 pub fn is_header_class(key: &str) -> bool {
     key.contains("/hdr/")
 }
@@ -115,12 +110,11 @@ pub fn is_header_class(key: &str) -> bool {
 ///
 /// ```
 /// assert_eq!(eccheck::keys::header_worker(&eccheck::keys::header_key(2, 5)), Some(5));
-/// assert_eq!(eccheck::keys::header_worker(&eccheck::keys::header_crc_key(2, 5)), Some(5));
+/// assert_eq!(eccheck::keys::header_worker(&eccheck::keys::remote_header_key(2, 5)), Some(5));
 /// assert_eq!(eccheck::keys::header_worker(&eccheck::keys::chunk_key(2)), None);
 /// ```
 pub fn header_worker(key: &str) -> Option<usize> {
-    let (_, tail) = key.split_once("/hdr/")?;
-    tail.strip_suffix(".crc").unwrap_or(tail).parse().ok()
+    key.split_once("/hdr/")?.1.parse().ok()
 }
 
 /// Extracts the version a key addresses, if it is an engine key.
@@ -136,29 +130,6 @@ pub fn key_version(key: &str) -> Option<u64> {
     let tail = tail.strip_prefix("ecc/v")?;
     let end = tail.find('/')?;
     tail[..end].parse().ok()
-}
-
-/// Scans a data plane for the newest checkpoint version that has a
-/// manifest on some alive node, so a fresh process can adopt a
-/// checkpoint it did not write (see `EcCheck::adopt_version`). Returns
-/// `None` when no alive node holds a manifest. Remote storage is not
-/// probed: it has no key listing and is only flushed periodically, so
-/// its newest manifest may lag the cluster's.
-pub fn latest_manifest_version(plane: &impl ecc_cluster::DataPlane) -> Option<u64> {
-    let mut latest = None;
-    for node in 0..plane.nodes() {
-        if !plane.alive(node) {
-            continue;
-        }
-        for key in plane.local_keys(node) {
-            if let Some(rest) = key.strip_prefix("ecc/v") {
-                if let Some(v) = rest.strip_suffix("/manifest").and_then(|v| v.parse().ok()) {
-                    latest = latest.max(Some(v));
-                }
-            }
-        }
-    }
-    latest
 }
 
 /// Scans a data plane for every checkpoint version that has a manifest
@@ -186,6 +157,16 @@ pub fn manifest_versions(plane: &impl ecc_cluster::DataPlane) -> Vec<u64> {
     versions
 }
 
+/// The newest checkpoint version with a manifest on some alive node
+/// ([`manifest_versions`]' last entry), so a fresh process can adopt a
+/// checkpoint it did not write (see `EcCheck::adopt_version`). `None`
+/// when no alive node holds a manifest. Remote storage is not probed:
+/// it has no key listing and is only flushed periodically, so its
+/// newest manifest may lag the cluster's.
+pub fn latest_manifest_version(plane: &impl ecc_cluster::DataPlane) -> Option<u64> {
+    manifest_versions(plane).last().copied()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,14 +175,10 @@ mod tests {
     fn keys_are_distinct_and_versioned() {
         let keys = [
             chunk_key(3),
-            chunk_crc_key(3),
             header_key(3, 0),
-            header_crc_key(3, 0),
             manifest_key(3),
             remote_chunk_key(3, 1),
-            remote_chunk_crc_key(3, 1),
             remote_header_key(3, 0),
-            remote_header_crc_key(3, 0),
             remote_manifest_key(3),
             epoch_key(3),
         ];
@@ -210,28 +187,31 @@ mod tests {
                 assert_ne!(a, b);
             }
             assert_eq!(key_version(a), Some(3), "{a}");
+            // Chunks and headers carry their own trailer: no key in the
+            // namespace addresses a checksum alone.
+            assert!(!a.ends_with(".crc"), "{a}");
         }
     }
 
     #[test]
     fn classification() {
         assert!(is_chunk_class(&chunk_key(1)));
-        assert!(is_chunk_class(&chunk_crc_key(1)));
         assert!(is_chunk_class(&remote_chunk_key(1, 0)));
         assert!(!is_chunk_class(&header_key(1, 0)));
         assert!(!is_chunk_class(&manifest_key(1)));
         assert!(is_header_class(&header_key(1, 2)));
-        assert!(is_header_class(&header_crc_key(1, 2)));
+        assert!(is_header_class(&remote_header_key(1, 2)));
+        assert!(!is_header_class(&epoch_key(1)));
         assert!(!is_header_class(&chunk_key(1)));
     }
 
     #[test]
     fn header_worker_extraction() {
         assert_eq!(header_worker(&header_key(4, 11)), Some(11));
-        assert_eq!(header_worker(&header_crc_key(4, 11)), Some(11));
         assert_eq!(header_worker(&remote_header_key(4, 3)), Some(3));
         assert_eq!(header_worker(&chunk_key(4)), None);
         assert_eq!(header_worker("ecc/v1/hdr/notanumber"), None);
+        assert_eq!(header_worker("ecc/v1/hdr/2.crc"), None);
     }
 
     #[test]
@@ -248,10 +228,19 @@ mod tests {
     }
 
     #[test]
+    fn manifest_blob_round_trip() {
+        assert_eq!(decode_manifest(&encode_manifest(0)), Some(0));
+        assert_eq!(decode_manifest(&encode_manifest(12_345)), Some(12_345));
+        assert_eq!(decode_manifest(&[0; 7]), None);
+        assert_eq!(decode_manifest(&[]), None);
+    }
+
+    #[test]
     fn manifest_versions_scans_alive_nodes() {
         use ecc_cluster::{Cluster, ClusterSpec};
         let mut c = Cluster::new(ClusterSpec::tiny_test(2, 1));
         assert!(manifest_versions(&c).is_empty());
+        assert_eq!(latest_manifest_version(&c), None);
         c.put_local(0, &manifest_key(3), vec![0; 8]).unwrap();
         c.put_local(1, &manifest_key(1), vec![0; 8]).unwrap();
         c.put_local(1, &manifest_key(3), vec![0; 8]).unwrap();

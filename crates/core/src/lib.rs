@@ -67,6 +67,7 @@ mod pipeline;
 mod placement;
 mod reduction;
 mod report;
+pub mod sealed;
 pub mod store;
 pub mod timing;
 

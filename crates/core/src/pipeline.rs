@@ -72,8 +72,8 @@ use ecc_telemetry::Recorder;
 use ecc_trace::{TrackId, CODING_PID, DRIVER_PID};
 
 use crate::engine::TraceHandles;
-use crate::keys::{chunk_crc_key, chunk_key};
-use crate::{EcCheckError, Placement, ReductionPlan};
+use crate::keys::chunk_key;
+use crate::{sealed, EcCheckError, Placement, ReductionPlan};
 
 /// Stage accounting for one pipelined save, reported on
 /// [`crate::SaveReport`].
@@ -153,10 +153,9 @@ fn occupancy(busy_ns: u64, wall_ns: u64, lanes: u64) -> f64 {
 /// are built.
 pub(crate) struct PipelineJob<'a> {
     pub version: u64,
+    /// Built with [`sealed::TRAILER`] bytes of headroom, so sealing at
+    /// placement appends in place.
     pub data_chunks: Vec<Vec<u8>>,
-    /// Keep owned copies of every chunk for the remote flush instead of
-    /// moving them into the store.
-    pub keep_chunks: bool,
     pub code: &'a ErasureCode,
     pub placement: &'a Placement,
     pub reduction: &'a ReductionPlan,
@@ -170,10 +169,6 @@ pub(crate) struct PipelineJob<'a> {
     pub fail_encode_task: Option<u64>,
 }
 
-/// `(data chunks, parity chunks)` handed back when the caller asked to
-/// keep them (remote flush).
-pub(crate) type KeptChunks = (Vec<Vec<u8>>, Vec<Vec<u8>>);
-
 /// What [`run`] produced, beyond the cluster-side effects.
 pub(crate) struct PipelineOutcome {
     pub encoded_bytes: u64,
@@ -185,8 +180,6 @@ pub(crate) struct PipelineOutcome {
     /// First/last instants of transfer-stage activity, for `save.place`.
     pub place_begin_ns: u64,
     pub place_end_ns: u64,
-    /// `(data, parity)` chunks, present when `keep_chunks` was set.
-    pub kept: Option<KeptChunks>,
 }
 
 /// One affected data column of a pipelined delta save.
@@ -428,7 +421,6 @@ pub(crate) fn run(
     let PipelineJob {
         version,
         data_chunks,
-        keep_chunks,
         code,
         placement,
         reduction,
@@ -477,7 +469,6 @@ pub(crate) fn run(
         version,
         geo,
         delta: false,
-        keep_chunks,
         placement,
         col_ids: (0..geo.k).collect(),
         col_nodes: placement.data_nodes().to_vec(),
@@ -488,11 +479,10 @@ pub(crate) fn run(
         data: data.into_iter().map(Some).collect(),
         data_placed: 0,
         data_crcs: vec![vec![None; geo.crc_pieces]; geo.k],
-        parity: (0..geo.m).map(|_| vec![0u8; geo.chunk_len]).collect(),
+        parity: (0..geo.m).map(|_| sealed::zeroed(geo.chunk_len)).collect(),
         parity_crcs: vec![vec![vec![0u32; geo.stripes]; geo.w]; geo.m],
         stripes_done: 0,
         reduce_spans: Vec::with_capacity(geo.stripes),
-        kept_data: Vec::new(),
         busy_ns: 0,
         place_begin_ns: u64::MAX,
         place_end_ns: 0,
@@ -589,16 +579,6 @@ pub(crate) fn run(
     recorder.counter("erasure.encode.parity_bytes").add((geo.m * geo.chunk_len) as u64);
     recorder.record("erasure.encode.ns", encode_end - encode_begin);
 
-    let kept = if keep_chunks {
-        let data = driver
-            .kept_data
-            .drain(..)
-            .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()))
-            .collect();
-        Some((data, std::mem::take(&mut driver.parity)))
-    } else {
-        None
-    };
     Ok(PipelineOutcome {
         encoded_bytes: (geo.m * geo.chunk_len) as u64,
         stats,
@@ -606,7 +586,6 @@ pub(crate) fn run(
         encode_end_ns: encode_end,
         place_begin_ns: place_begin,
         place_end_ns: place_end,
-        kept,
     })
 }
 
@@ -685,7 +664,6 @@ pub(crate) fn run_delta(
         version,
         geo,
         delta: true,
-        keep_chunks: false,
         placement,
         col_ids,
         col_nodes,
@@ -700,7 +678,6 @@ pub(crate) fn run_delta(
         parity_crcs: Vec::new(),
         stripes_done: 0,
         reduce_spans: Vec::with_capacity(geo.stripes),
-        kept_data: Vec::new(),
         busy_ns: 0,
         place_begin_ns: u64::MAX,
         place_end_ns: 0,
@@ -786,7 +763,6 @@ pub(crate) fn run_delta(
         encode_end_ns: encode_end,
         place_begin_ns: place_begin,
         place_end_ns: place_end,
-        kept: None,
     })
 }
 
@@ -1130,7 +1106,6 @@ struct Driver<'a> {
     /// an in-place patch has no version rotation to shield a torn
     /// update, so nothing lands until the whole delta encoded cleanly.
     delta: bool,
-    keep_chunks: bool,
     placement: &'a Placement,
     /// Dense column → true data-column index (identity on full saves).
     col_ids: Vec<usize>,
@@ -1141,8 +1116,8 @@ struct Driver<'a> {
     trace: Option<&'a TraceHandles>,
     tracks: Option<&'a PipelineTracks>,
     gate: Option<&'a mut SlotGate>,
-    /// Data chunks, surrendered (moved into the store when possible) as
-    /// they are placed.
+    /// Data chunks (with trailer headroom), surrendered — moved into the
+    /// store when possible — as they are placed.
     data: Vec<Option<Arc<Vec<u8>>>>,
     /// Data chunks stored so far; chunk `j` goes out only when chunks
     /// `0..j` are out and all its CRC pieces arrived, so store order
@@ -1153,7 +1128,6 @@ struct Driver<'a> {
     parity_crcs: Vec<Vec<Vec<u32>>>,
     stripes_done: usize,
     reduce_spans: Vec<(usize, u64, u64)>,
-    kept_data: Vec<Arc<Vec<u8>>>,
     busy_ns: u64,
     place_begin_ns: u64,
     place_end_ns: u64,
@@ -1270,15 +1244,10 @@ impl Driver<'_> {
             (crc.expect("placed only when ready"), (hi - lo) as u64)
         }));
         let arc = self.data[col].take().expect("each data chunk placed once");
-        let bytes = if self.keep_chunks {
-            self.kept_data.push(Arc::clone(&arc));
-            (*arc).clone()
-        } else {
-            // A move when the encode stage is already done with this
-            // chunk (its task-list `Arc` clones dropped), a copy — like
-            // the sequential path's — otherwise.
-            Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone())
-        };
+        // A move when the encode stage is already done with this chunk
+        // (its task-list `Arc` clones dropped), one copy with trailer
+        // headroom otherwise.
+        let bytes = Arc::try_unwrap(arc).unwrap_or_else(|a| sealed::copy_with_headroom(&a));
         let node = self.col_nodes[col];
         self.store(node, bytes, crc, &format!("data chunk {}", self.col_ids[col]), cluster);
     }
@@ -1299,17 +1268,13 @@ impl Driver<'_> {
                 },
             ))
         };
-        let bytes = if self.keep_chunks {
-            self.parity[i].clone()
-        } else {
-            std::mem::take(&mut self.parity[i])
-        };
+        let bytes = std::mem::take(&mut self.parity[i]);
         let node = self.placement.parity_nodes()[i];
         self.store(node, bytes, crc, &format!("parity chunk {i}"), cluster);
     }
 
-    /// One gated store: chunk blob plus its CRC frame, byte-identical to
-    /// the sequential path's `checksum_frame` output.
+    /// One gated store: the chunk sealed with its stitched CRC — one
+    /// blob, byte-identical to the sequential path's `put_sealed`.
     fn store(
         &mut self,
         node: usize,
@@ -1318,7 +1283,6 @@ impl Driver<'_> {
         what: &str,
         cluster: &mut impl DataPlane,
     ) {
-        debug_assert_eq!(crc32(&bytes), crc, "stitched CRC must match a one-shot pass");
         let len = bytes.len() as u64;
         let mut detail = what.to_string();
         if let Some(gate) = self.gate.as_deref_mut() {
@@ -1337,9 +1301,8 @@ impl Driver<'_> {
         });
         let begin = self.recorder.now_ns();
         self.place_begin_ns = self.place_begin_ns.min(begin);
-        let result = cluster.put_local(node, &chunk_key(self.version), bytes).and_then(|()| {
-            cluster.put_local(node, &chunk_crc_key(self.version), crc.to_le_bytes().to_vec())
-        });
+        let result =
+            cluster.put_local(node, &chunk_key(self.version), sealed::seal_with(bytes, crc));
         self.place_end_ns = self.place_end_ns.max(self.recorder.now_ns());
         match result {
             // The `p2p.store` flow leaves from the executor's transfer
@@ -1364,14 +1327,16 @@ impl Driver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecc_checkpoint::checksum_frame;
 
-    // `checksum_frame` is what the sequential oracle stores; keep the
-    // equivalence pinned where the pipelined frame bytes are produced.
+    // The sequential oracle seals with a one-shot CRC, the driver with
+    // one stitched from piece CRCs; the stored blobs must be identical.
     #[test]
-    fn le_bytes_equal_checksum_frame() {
-        let data = b"pipelined frame bytes";
-        assert_eq!(crc32(data).to_le_bytes().to_vec(), checksum_frame(data));
+    fn stitched_seal_equals_one_shot_seal() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        let stitched = [0..333, 333..334, 334..1000]
+            .into_iter()
+            .fold(crc32(&[]), |acc, r| crc32_combine(acc, crc32(&data[r.clone()]), r.len() as u64));
+        assert_eq!(sealed::seal_with(data.clone(), stitched), sealed::seal(data));
     }
 
     #[test]

@@ -24,12 +24,14 @@
 //!   waits on the training thread, while the training thread blocks
 //!   (at most) on the bounded queue that the drain thread is actively
 //!   emptying.
-//! * [`drain_version`] — the synchronous tier-0 → tier-1 copy itself,
-//!   checksum-verified blob by blob, re-reading the committed
-//!   placement epoch at copy time so node churn between enqueue and
-//!   drain is observed rather than raced. Remote keys are per-node
-//!   (`remote/ecc/v{v}/chunk/{node}`), so the copy stays correct
-//!   whatever incarnation currently owns a slot.
+//! * [`drain_version`] — the tier-0 → tier-1 copy itself, and the only
+//!   one: the drain worker, [`crate::EcCheck::flush_remote`] and the
+//!   save's periodic step 4 all call it. Every sealed blob is verified
+//!   on the way and copied verbatim, trailer included, and the
+//!   committed placement epoch is re-read at copy time so node churn
+//!   between enqueue and drain is observed rather than raced. Remote
+//!   keys are per-node (`remote/ecc/v{v}/chunk/{node}`), so the copy
+//!   stays correct whatever incarnation currently owns a slot.
 //! * [`WorkerDirtySet`] — one worker's dirty shard for
 //!   [`crate::EcCheck::save_delta`], the GF-linear delta save that
 //!   generalizes `update_worker` to arbitrary dirty sets.
@@ -39,16 +41,15 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use ecc_checkpoint::{verify_checksum, StateDict};
+use ecc_checkpoint::StateDict;
 use ecc_cluster::DataPlane;
 use ecc_telemetry::Recorder;
 
 use crate::keys::{
-    chunk_crc_key, chunk_key, committed_epoch, header_crc_key, header_key, manifest_key,
-    remote_chunk_crc_key, remote_chunk_key, remote_header_crc_key, remote_header_key,
+    chunk_key, committed_epoch, header_key, manifest_key, remote_chunk_key, remote_header_key,
     remote_manifest_key,
 };
-use crate::{EcCheckConfig, EcCheckError};
+use crate::{sealed, EcCheckConfig, EcCheckError};
 
 /// One worker's dirty shard for a delta save: the worker id and its new
 /// `state_dict`. Tensor shapes must be unchanged since the last full
@@ -153,7 +154,8 @@ pub struct DrainOutcome {
     pub epoch: Option<u64>,
     /// Chunks copied intact.
     pub chunks_copied: usize,
-    /// Total blob bytes written to tier 1.
+    /// Total blob bytes written to tier 1 (sealed blobs, trailers
+    /// included, plus the manifest).
     pub bytes_copied: u64,
     /// Chunks skipped because they failed their checksum (never
     /// propagate corruption into the copy of last resort).
@@ -161,11 +163,13 @@ pub struct DrainOutcome {
 }
 
 /// Synchronously copies one sealed version from tier 0 (peer memory) to
-/// tier 1 (the remote store), verifying every blob's checksum on the
-/// way. Corrupt chunks are skipped (and counted), headers fall back
-/// across all survivors exactly like recovery, and the committed
-/// placement epoch is re-read at copy time. This is the drain worker's
-/// unit of work, public so tests (and synchronous callers) can drain
+/// tier 1 (the remote store), verifying every sealed blob on the way
+/// and copying it verbatim. Corrupt chunks are skipped (and counted),
+/// headers fall back across all survivors exactly like recovery, and
+/// the committed placement epoch is re-read at copy time. This is the
+/// system's one tier-1 copy routine: the drain worker's unit of work,
+/// [`crate::EcCheck::flush_remote`], and the save's periodic step 4.
+/// Public so tests (and synchronous callers) can drain
 /// deterministically without a thread.
 ///
 /// # Errors
@@ -188,35 +192,24 @@ pub fn drain_version<P: DataPlane>(
     let mut bytes_copied = 0u64;
     let mut skipped_corrupt = 0usize;
     for node in 0..n {
-        let blob = plane.get_local(node, &chunk_key(version));
-        let crc = plane.get_local(node, &chunk_crc_key(version));
-        let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-        if !verify_checksum(&blob, &crc) {
+        let Some(blob) = plane.get_local(node, &chunk_key(version)) else { continue };
+        if sealed::verify(&blob).is_none() {
             skipped_corrupt += 1;
             recorder.counter("ecc.drain.skipped_corrupt").incr();
             recorder.event("ecc.drain.corrupt", format!("v{version} node {node} failed checksum"));
             continue;
         }
-        bytes_copied += (blob.len() + crc.len()) as u64;
+        bytes_copied += blob.len() as u64;
         plane.put_remote(&remote_chunk_key(version, node), blob);
-        plane.put_remote(&remote_chunk_crc_key(version, node), crc);
         chunks_copied += 1;
     }
     for w in 0..world {
-        for node in 0..n {
-            if !plane.alive(node) {
-                continue;
-            }
-            let h = plane.get_local(node, &header_key(version, w));
-            let crc = plane.get_local(node, &header_crc_key(version, w));
-            let (Some(h), Some(crc)) = (h, crc) else { continue };
-            if !verify_checksum(&h, &crc) {
-                continue;
-            }
-            bytes_copied += (h.len() + crc.len()) as u64;
+        let intact = (0..n).filter(|&node| plane.alive(node)).find_map(|node| {
+            plane.get_local(node, &header_key(version, w)).filter(|h| sealed::verify(h).is_some())
+        });
+        if let Some(h) = intact {
+            bytes_copied += h.len() as u64;
             plane.put_remote(&remote_header_key(version, w), h);
-            plane.put_remote(&remote_header_crc_key(version, w), crc);
-            break;
         }
     }
     bytes_copied += manifest.len() as u64;

@@ -10,15 +10,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ecc_checkpoint::{checksum_frame, verify_checksum};
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthRegistry, NodeHealth, NodeId};
 use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_telemetry::Recorder;
 use ecc_trace::{Tracer, TrackId, DRIVER_PID};
 use eccheck::keys::{
-    chunk_crc_key, chunk_key, encode_epoch, epoch_key, header_crc_key, header_key, key_version,
-    manifest_key, placement_epoch_key,
+    chunk_key, encode_epoch, epoch_key, header_key, is_chunk_class, key_version, manifest_key,
+    manifest_versions, placement_epoch_key,
 };
+use eccheck::sealed::{self, get_sealed, put_sealed, Sealed};
 use eccheck::{select_data_parity_nodes, EcCheckConfig, EcCheckError, Placement};
 
 use crate::{MemberState, MembershipError, MembershipTable, ShardMap};
@@ -93,7 +93,7 @@ pub struct RebalanceReport {
     pub migrated_bytes: u64,
     /// The chunk-payload subset of `migrated_bytes` that only the
     /// migration scheme decides: erasure-code chunk bytes read from
-    /// survivors and written to targets. Excludes checksum frames,
+    /// survivors and written to targets. Excludes CRC trailers,
     /// replicated metadata, and graceful-drain evacuation reads — all
     /// of which move under any scheme. This is the number compared to
     /// `bound_bytes`; the invariant `chunk_bytes <= bound_bytes` holds
@@ -375,7 +375,7 @@ impl PlacementController {
             tracer.span(*track, "membership.rebalance", format!("{} moves", plan.moves.len()))
         });
 
-        let versions = discover_versions(plane);
+        let versions = manifest_versions(plane);
 
         // Read-side traffic of the graceful drains this plan consumes:
         // the bytes staged off each leaving slot crossed a node
@@ -400,7 +400,7 @@ impl PlacementController {
             migrated_bytes: staged_total,
             chunk_bytes: 0,
             bound_bytes: 0,
-            versions: versions.iter().copied().collect(),
+            versions: versions.clone(),
         };
         for &version in &versions {
             self.migrate_version(plane, version, &plan, &mut report)?;
@@ -480,8 +480,9 @@ impl PlacementController {
             for (key, blob) in staged {
                 if key_version(&key) == Some(version) {
                     report.migrated_bytes += blob.len() as u64;
-                    if is_chunk_payload(&key) {
-                        report.chunk_bytes += blob.len() as u64;
+                    if is_chunk_class(&key) {
+                        // Payload only: the trailer is integrity metadata.
+                        report.chunk_bytes += blob.len().saturating_sub(sealed::TRAILER) as u64;
                     }
                     plane.put_local(slot, &key, blob)?;
                 }
@@ -514,13 +515,14 @@ impl PlacementController {
             if targets.contains(&entry.slot) || !plane.alive(entry.slot) {
                 continue;
             }
-            let blob = plane.get_local(entry.slot, &chunk_key(version));
-            let crc = plane.get_local(entry.slot, &chunk_crc_key(version));
-            let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-            if !verify_checksum(&blob, &crc) {
-                self.recorder.counter("membership.migration.corrupt_survivors").incr();
-                continue;
-            }
+            let blob = match get_sealed(plane, entry.slot, &chunk_key(version)) {
+                Sealed::Intact(blob) => blob,
+                Sealed::Missing => continue,
+                Sealed::Corrupt => {
+                    self.recorder.counter("membership.migration.corrupt_survivors").incr();
+                    continue;
+                }
+            };
             read_bytes += blob.len() as u64;
             intact += 1;
             shards[entry.chunk] = Some(blob);
@@ -553,11 +555,9 @@ impl PlacementController {
         let mut rebuilt_slots = Vec::new();
         for (mv, (chunk, blob)) in lost.iter().zip(rebuilt) {
             debug_assert_eq!(mv.chunk(), chunk);
-            let frame = checksum_frame(&blob);
-            report.migrated_bytes += (blob.len() + frame.len()) as u64;
+            report.migrated_bytes += (blob.len() + sealed::TRAILER) as u64;
             report.chunk_bytes += blob.len() as u64;
-            plane.put_local(mv.slot(), &chunk_key(version), blob)?;
-            plane.put_local(mv.slot(), &chunk_crc_key(version), frame)?;
+            put_sealed(plane, mv.slot(), &chunk_key(version), blob)?;
             report.moves_rebuilt += 1;
             rebuilt_slots.push(mv.slot());
         }
@@ -585,7 +585,6 @@ impl PlacementController {
         let mut meta_keys = vec![manifest_key(version), epoch_key(version)];
         for w in 0..self.spec.world_size() {
             meta_keys.push(header_key(version, w));
-            meta_keys.push(header_crc_key(version, w));
         }
         for key in meta_keys {
             let Some(blob) = plane.get_local(source, &key) else { continue };
@@ -597,7 +596,7 @@ impl PlacementController {
         Ok(())
     }
 
-    /// Chunk length of any intact survivor for `version`, for bound
+    /// Payload length of any survivor's chunk for `version`, for bound
     /// accounting when a rebalance is copy-only.
     fn survivor_chunk_len(
         &self,
@@ -610,7 +609,7 @@ impl PlacementController {
             .iter()
             .filter(|e| !targets.contains(&e.slot) && plane.alive(e.slot))
             .find_map(|e| plane.get_local(e.slot, &chunk_key(version)))
-            .map(|blob| blob.len())
+            .map(|blob| blob.len().saturating_sub(sealed::TRAILER))
     }
 
     /// The acceptance gate for an epoch commit: every chunk of
@@ -631,47 +630,13 @@ impl PlacementController {
                     detail: format!("slot {slot} (chunk {chunk}) is not alive"),
                 });
             }
-            let blob = plane.get_local(slot, &chunk_key(version));
-            let crc = plane.get_local(slot, &chunk_crc_key(version));
-            let (Some(blob), Some(crc)) = (blob, crc) else {
-                return Err(MembershipError::GuaranteeViolated {
-                    version,
-                    detail: format!("chunk {chunk} absent on slot {slot}"),
-                });
+            let detail = match get_sealed(plane, slot, &chunk_key(version)) {
+                Sealed::Intact(_) => continue,
+                Sealed::Missing => format!("chunk {chunk} absent on slot {slot}"),
+                Sealed::Corrupt => format!("chunk {chunk} on slot {slot} fails its checksum"),
             };
-            if !verify_checksum(&blob, &crc) {
-                return Err(MembershipError::GuaranteeViolated {
-                    version,
-                    detail: format!("chunk {chunk} on slot {slot} fails its checksum"),
-                });
-            }
+            return Err(MembershipError::GuaranteeViolated { version, detail });
         }
         Ok(())
     }
-}
-
-/// `true` when `key` holds erasure-code chunk *payload* — the traffic
-/// class the `m·s·W` bound covers. Checksum frames ride alongside the
-/// chunks but are integrity metadata, so they count toward
-/// `migrated_bytes` only.
-fn is_chunk_payload(key: &str) -> bool {
-    eccheck::keys::is_chunk_class(key) && !key.ends_with(".crc")
-}
-
-/// Every checkpoint version with a manifest on some alive node.
-fn discover_versions(plane: &impl DataPlane) -> BTreeSet<u64> {
-    let mut versions = BTreeSet::new();
-    for node in 0..plane.nodes() {
-        if !plane.alive(node) {
-            continue;
-        }
-        for key in plane.local_keys(node) {
-            if let Some(rest) = key.strip_prefix("ecc/v") {
-                if let Some(v) = rest.strip_suffix("/manifest").and_then(|v| v.parse().ok()) {
-                    versions.insert(v);
-                }
-            }
-        }
-    }
-    versions
 }

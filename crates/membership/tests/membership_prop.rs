@@ -6,7 +6,8 @@
 use ecc_cluster::{Cluster, ClusterSpec};
 use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_membership::{MemberState, PlacementController};
-use eccheck::keys::{chunk_crc_key, chunk_key, manifest_key};
+use eccheck::keys::{chunk_key, manifest_key};
+use eccheck::sealed::put_sealed;
 use eccheck::EcCheckConfig;
 use proptest::prelude::*;
 
@@ -31,8 +32,7 @@ fn seed_checkpoint(cluster: &mut Cluster, ctl: &PlacementController) {
 }
 
 fn put_chunk(cluster: &mut Cluster, slot: usize, chunk: &[u8]) {
-    cluster.put_local(slot, &chunk_key(1), chunk.to_vec()).unwrap();
-    cluster.put_local(slot, &chunk_crc_key(1), ecc_checkpoint::checksum_frame(chunk)).unwrap();
+    put_sealed(cluster, slot, &chunk_key(1), chunk.to_vec()).unwrap();
     cluster.put_local(slot, &manifest_key(1), vec![0u8; 8]).unwrap();
 }
 

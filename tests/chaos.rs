@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use ecc_chaos::{run_campaign, CampaignConfig, ChaosConfig, ChaosPlane};
 use ecc_cluster::{Cluster, ClusterSpec, FailureModel};
 use ecc_dnn::{build_worker_state_dict, ModelConfig, ParallelismSpec, StateDictSpec};
-use eccheck::{EcCheck, EcCheckConfig, EcCheckError};
+use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, SaveMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,11 +118,12 @@ fn crash_between_gather_and_restore_is_survivable() {
     let current = dicts(1);
     ecc.save(&mut plane, &current).unwrap();
 
-    // The gather phase reads two blobs per node plus two per worker
-    // header (8 + 16 ops on this testbed); 30 storage ops into the
-    // load, the engine has gathered everything and is re-seeding
-    // node 0 — the fault-tolerant-restore window.
-    plane.schedule_crash_at_op(0, plane.op() + 30);
+    // The load probes the epoch fence on every node, then gathers one
+    // sealed chunk per node and one sealed header per worker (4 + 4 + 8
+    // ops on this testbed); 18 storage ops into the load, the engine
+    // has gathered everything and is re-seeding node 0 — the
+    // fault-tolerant-restore window.
+    plane.schedule_crash_at_op(0, plane.op() + 18);
     let (restored, report) = ecc.load(&mut plane).unwrap();
     assert_eq!(restored, current, "mid-load crash corrupted the restored state");
     assert_eq!(report.restore_skipped, vec![0]);
@@ -135,6 +136,87 @@ fn crash_between_gather_and_restore_is_survivable() {
     assert_eq!(again, current);
     assert!(report2.failed_nodes.contains(&0));
     assert!(report2.restore_skipped.is_empty());
+}
+
+/// The Remote workflow regression: with more than `m` nodes lost the
+/// load decodes from tier 1, then re-seeds every node — and a node that
+/// dies during that re-seeding used to abort the whole load with
+/// `NodeDown` even though decode had already succeeded. Sweep the crash
+/// of the one surviving node across every storage op of the load
+/// (fence probes, gather retries, restore puts): every offset must
+/// return the saved state bit-exactly.
+#[test]
+fn remote_workflow_survives_a_node_dying_mid_restore() {
+    let spec = ClusterSpec::tiny_test(4, 2);
+    for after in 1..60u64 {
+        let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(5));
+        let mut ecc = EcCheck::initialize(
+            &spec,
+            EcCheckConfig::paper_defaults().with_packet_size(2048).with_remote_flush_every(1),
+        )
+        .unwrap();
+        // Small shards keep the 59-load sweep fast; the op sequence
+        // depends only on the cluster shape, not on the state size.
+        let current: Vec<ecc_checkpoint::StateDict> = (0..8)
+            .map(|w| {
+                let mut sd = ecc_checkpoint::StateDict::new();
+                let bytes = vec![(w as u8) ^ (after as u8); 96 + w];
+                let t = ecc_checkpoint::Tensor::from_bytes(
+                    ecc_checkpoint::DType::U8,
+                    &[bytes.len()],
+                    bytes,
+                )
+                .unwrap();
+                sd.insert("weights", ecc_checkpoint::Value::Tensor(t));
+                sd
+            })
+            .collect();
+        ecc.save(&mut plane, &current).unwrap();
+        // Three of four nodes lost (> m = 2): they come back empty.
+        for node in [0, 2, 3] {
+            plane.crash_now(node);
+            plane.heal(node);
+        }
+        plane.schedule_crash_at_op(1, plane.op() + after);
+        let (restored, report) =
+            ecc.load(&mut plane).unwrap_or_else(|e| panic!("crash {after} ops in: {e}"));
+        plane.cancel_scheduled_crashes();
+        assert_eq!(restored, current, "crash {after} ops in");
+        assert_eq!(report.workflow, eccheck::RecoveryWorkflow::Remote, "crash {after} ops in");
+    }
+}
+
+/// Pins the plane calls of a save: every chunk and header is one
+/// sealed blob, so a first save puts exactly one chunk, `W` headers,
+/// the manifest and the epoch marker per node — `n·(W+3)` puts — on
+/// top of the epoch fence's one marker probe per node. A sibling key
+/// (say, a separate checksum blob) cannot come back unnoticed.
+#[test]
+fn first_save_puts_one_blob_per_chunk_header_manifest_and_epoch() {
+    let spec = ClusterSpec::tiny_test(4, 2);
+    let (n, w) = (spec.nodes() as u64, spec.world_size() as u64);
+    for mode in [SaveMode::Sequential, SaveMode::Pipelined] {
+        let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(1));
+        let before = plane.op();
+        assert_eq!(keys::committed_epoch(&plane), None);
+        let fence = plane.op() - before;
+        assert_eq!(fence, n, "the fence probes each alive node once");
+
+        let mut ecc = EcCheck::initialize(
+            &spec,
+            EcCheckConfig::paper_defaults()
+                .with_packet_size(2048)
+                .with_remote_flush_every(0)
+                .with_save_mode(mode),
+        )
+        .unwrap();
+        let before = plane.op();
+        ecc.save(&mut plane, &dicts(0)).unwrap();
+        assert_eq!(plane.op() - before - fence, n * (w + 3), "{mode:?}");
+        for node in 0..spec.nodes() {
+            assert_eq!(plane.inner().local_keys(node).len() as u64, w + 3, "{mode:?} node {node}");
+        }
+    }
 }
 
 #[test]

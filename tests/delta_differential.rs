@@ -7,7 +7,7 @@
 //! linearity argument is only as good as its bits, so these tests hold
 //! the delta path to the strongest possible oracle: after a delta save,
 //! **every node must hold byte-identical blobs to a full save of the
-//! mutated state** — same chunks, same checksum frames, same headers,
+//! mutated state** — same sealed chunks (trailers included), same headers,
 //! same manifest — for arbitrary (k, m) shapes, arbitrary dirty sets,
 //! both save executors, and every available GF kernel.
 

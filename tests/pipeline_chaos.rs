@@ -40,10 +40,11 @@ fn pipelined_config(threads: usize) -> EcCheckConfig {
 #[test]
 fn node_crash_mid_save_fails_cleanly_and_keeps_the_old_checkpoint() {
     // Sweep the crash over a range of op counts so it lands in every
-    // phase of the pipelined save: header broadcast, early chunk
-    // placement, late chunk placement.
+    // phase of the pipelined save: the epoch fence (ops 1-4), early
+    // and late chunk placement (one sealed put per node, ops 5-8) and
+    // the header broadcast (from op 9).
     for threads in [1usize, 4] {
-        for after_ops in (1..40u64).step_by(4) {
+        for after_ops in (1..40u64).step_by(2) {
             let spec = ClusterSpec::tiny_test(4, 2);
             let mut ecc = EcCheck::initialize(&spec, pipelined_config(threads)).unwrap();
             let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(9));

@@ -5,7 +5,7 @@
 //! tests hold it to that: for every code shape, stripe-buffer size and
 //! thread count, a pipelined save must leave every node of the cluster
 //! holding byte-identical blobs — same keys, same chunk bytes, same
-//! checksum frames — as a sequential save of the same state, and a
+//! CRC trailers — as a sequential save of the same state, and a
 //! checkpoint written by either mode must load back exactly.
 
 use ecc_checkpoint::{StateDict, Value};
@@ -159,11 +159,9 @@ fn remote_flush_is_mode_independent() {
     let mut remote_keys: Vec<String> = vec![keys::remote_manifest_key(1)];
     for node in 0..4 {
         remote_keys.push(keys::remote_chunk_key(1, node));
-        remote_keys.push(keys::remote_chunk_crc_key(1, node));
     }
     for worker in 0..world {
         remote_keys.push(keys::remote_header_key(1, worker));
-        remote_keys.push(keys::remote_header_crc_key(1, worker));
     }
     for key in remote_keys {
         assert_eq!(

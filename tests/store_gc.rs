@@ -19,10 +19,10 @@
 
 use std::collections::BTreeMap;
 
-use ecc_checkpoint::{verify_checksum, DType, StateDict, Tensor, Value};
+use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec, DataPlane, SharedPlane};
 use eccheck::store::Drainer;
-use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, SaveMode};
+use eccheck::{keys, sealed, EcCheck, EcCheckConfig, EcCheckError, SaveMode};
 use proptest::prelude::*;
 
 const NODES: usize = 4;
@@ -166,13 +166,10 @@ fn gc_waits_for_the_drain_worker() {
             "v{v} manifest missing from tier 1"
         );
         for node in 0..NODES {
-            let chunk = shared
-                .get_remote(&keys::remote_chunk_key(v, node))
-                .unwrap_or_else(|| panic!("v{v} chunk {node} missing from tier 1"));
-            let crc = shared
-                .get_remote(&keys::remote_chunk_crc_key(v, node))
-                .unwrap_or_else(|| panic!("v{v} chunk {node} crc missing from tier 1"));
-            assert!(verify_checksum(&chunk, &crc), "v{v} chunk {node} fails its checksum");
+            match sealed::get_sealed_remote(&shared, &keys::remote_chunk_key(v, node)) {
+                sealed::Sealed::Intact(_) => {}
+                other => panic!("v{v} chunk {node} not intact in tier 1: {other:?}"),
+            }
         }
         for worker in 0..WORLD {
             assert!(
